@@ -5,8 +5,8 @@
 // Figure 6. Besides the google-benchmark report, the binary writes a
 // `BENCH_micro.json` sidecar with the compiled-vs-eager wall times of the
 // perturbation loop plus a per-kernel roofline section (elements/s and
-// bytes moved per op, scalar vs SIMD vs int8), so CI can track both the
-// graph executor's speedup and the kernel backends without parsing
+// bytes moved per op, GFLOP/s for the f32 and int8 MatMul), so CI can
+// track both the graph executor's speedup and the kernels without parsing
 // benchmark output.
 #include <benchmark/benchmark.h>
 
@@ -28,7 +28,6 @@
 #include "nn/optimizer.h"
 #include "tensor/autograd.h"
 #include "tensor/kernels.h"
-#include "tensor/registry.h"
 #include "tensor/tensor.h"
 #include "vlm/foundation_model.h"
 
@@ -143,7 +142,7 @@ void BM_ExplainerPerturbations(benchmark::State& state) {
 }
 BENCHMARK(BM_ExplainerPerturbations)->Arg(0)->Arg(1);
 
-// ---- Per-kernel roofline: scalar vs SIMD vs int8 ----
+// ---- Per-kernel roofline ----
 
 /// Times `fn` (after one warm-up call) until ~40ms of wall clock has
 /// accumulated, in batches of 8 so timer overhead stays negligible.
@@ -162,43 +161,50 @@ std::pair<int64_t, double> TimeKernelLoop(Fn&& fn) {
   return {iters, elapsed};
 }
 
-/// One roofline row: times `fn` under `backend` and appends a JSON object
-/// to `rows`. `elems` is output elements per call; `bytes` is the minimum
-/// bytes moved per call (each operand read once + output written once),
-/// so gb_per_s is the achieved lower-bound bandwidth of the op.
+/// One roofline row: times `fn` and appends a JSON object to `rows`.
+/// `elems` is output elements per call; `bytes` is the minimum bytes moved
+/// per call (each operand read once + output written once), so gb_per_s
+/// is the achieved lower-bound bandwidth of the op. `flops` is the
+/// arithmetic per call; rows with flops > 0 (the compute-bound MatMuls)
+/// also report gflops_per_s.
 template <typename Fn>
 void RooflineRow(std::string* rows, const char* op, const char* dtype,
-                 vsd::tensor::kernels::Backend backend, const char* shape,
-                 int64_t elems, int64_t bytes, Fn&& fn) {
-  namespace k = ::vsd::tensor::kernels;
-  k::SetBackend(backend);
+                 const char* shape, int64_t elems, int64_t bytes,
+                 int64_t flops, Fn&& fn) {
   const auto [iters, secs] = TimeKernelLoop(fn);
-  k::ClearBackendOverride();
-  const double elems_per_s =
-      secs > 0.0 ? static_cast<double>(elems) * static_cast<double>(iters) / secs : 0.0;
-  const double gb_per_s =
-      secs > 0.0
-          ? static_cast<double>(bytes) * static_cast<double>(iters) / secs / 1e9
-          : 0.0;
+  auto per_s = [&](int64_t per_call) {
+    return secs > 0.0 ? static_cast<double>(per_call) *
+                            static_cast<double>(iters) / secs
+                      : 0.0;
+  };
+  const double gelems_per_s = per_s(elems) / 1e9;
+  const double gb_per_s = per_s(bytes) / 1e9;
+  const double gflops_per_s = per_s(flops) / 1e9;
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "    {\"op\": \"%s\", \"dtype\": \"%s\", \"backend\": \"%s\","
-                " \"shape\": \"%s\", \"iters\": %lld, \"wall_s\": %.6f,"
+                "    {\"op\": \"%s\", \"dtype\": \"%s\", \"shape\": \"%s\","
+                " \"iters\": %lld, \"wall_s\": %.6f,"
                 " \"gelems_per_s\": %.4f, \"bytes_per_call\": %lld,"
-                " \"gb_per_s\": %.4f}",
-                op, dtype, k::BackendName(backend), shape,
-                static_cast<long long>(iters), secs, elems_per_s / 1e9,
-                static_cast<long long>(bytes), gb_per_s);
+                " \"gb_per_s\": %.4f",
+                op, dtype, shape, static_cast<long long>(iters), secs,
+                gelems_per_s, static_cast<long long>(bytes), gb_per_s);
   if (!rows->empty()) *rows += ",\n";
   *rows += buf;
-  std::fprintf(stderr, "[bench] roofline %-10s %-4s %-6s %.3f Gelem/s %.2f GB/s\n",
-               op, dtype, k::BackendName(backend), elems_per_s / 1e9,
-               gb_per_s);
+  if (flops > 0) {
+    std::snprintf(buf, sizeof(buf), ", \"gflops_per_s\": %.4f",
+                  gflops_per_s);
+    *rows += buf;
+  }
+  *rows += "}";
+  std::fprintf(stderr,
+               "[bench] roofline %-10s %-4s %.3f Gelem/s %.2f GB/s %.2f "
+               "GFLOP/s\n",
+               op, dtype, gelems_per_s, gb_per_s, gflops_per_s);
 }
 
-/// Benchmarks every registry kernel under each compiled backend and
-/// returns the JSON rows of the sidecar's "roofline" array. Shapes are
-/// fixed mid-size workloads; bytes assume each operand is touched once.
+/// Benchmarks every shared kernel and returns the JSON rows of the
+/// sidecar's "roofline" array. Shapes are fixed mid-size workloads; bytes
+/// assume each operand is touched once.
 std::string RooflineJson() {
   namespace k = ::vsd::tensor::kernels;
   Rng rng(11);
@@ -218,53 +224,48 @@ std::string RooflineJson() {
   Tensor ca = Tensor::Randn({kRows, kDa}, &rng);
   Tensor cb = Tensor::Randn({kRows, kDb}, &rng);
   std::vector<float> cat_out(static_cast<size_t>(kRows) * (kDa + kDb));
-
-  std::vector<k::Backend> backends = {k::Backend::kScalar};
-  if (k::SimdCompiled()) backends.push_back(k::Backend::kSimd);
+  // One multiply and one add per (i, p, j); Randn `a` has no zeros, so the
+  // zero-skip never fires.
+  constexpr int64_t kMatMulFlops = int64_t{2} * kM * kK * kN;
 
   std::string rows;
-  for (k::Backend be : backends) {
-    RooflineRow(&rows, "MatMul", "f32", be, "64x256x256",
-                int64_t{kM} * kN,
-                int64_t{4} * (kM * kK + kK * kN + kM * kN), [&] {
-                  k::MatMulInto(a.data(), b.data(), out.data(), kM, kK, kN);
-                  benchmark::DoNotOptimize(out.data());
-                });
-    RooflineRow(&rows, "MatMul", "i8", be, "64x256x256",
-                int64_t{kM} * kN,
-                // fp32 a + int8 b + per-row scale/zero + fp32 out.
-                int64_t{4} * kM * kK + int64_t{kK} * kN + int64_t{8} * kK +
-                    int64_t{4} * kM * kN,
-                [&] {
-                  k::MatMulI8Into(a.data(), bq.qdata(), bq.qscale(),
-                                  bq.qzero(), out.data(), kM, kK, kN);
-                  benchmark::DoNotOptimize(out.data());
-                });
-    RooflineRow(&rows, "AddRows", "f32", be, "256x256",
-                int64_t{kRows} * kCols,
-                int64_t{4} * (2 * kRows * kCols + kCols), [&] {
-                  k::AddRowsInto(rows_in.data(), bias.data(), rows_out.data(),
-                                 kRows, kCols);
-                  benchmark::DoNotOptimize(rows_out.data());
-                });
-    RooflineRow(&rows, "Relu", "f32", be, "65536", int64_t{kMapN},
-                int64_t{4} * 2 * kMapN, [&] {
-                  k::ReluInto(map_in.data(), map_out.data(), kMapN);
-                  benchmark::DoNotOptimize(map_out.data());
-                });
-    RooflineRow(&rows, "Gelu", "f32", be, "65536", int64_t{kMapN},
-                int64_t{4} * 2 * kMapN, [&] {
-                  k::GeluInto(map_in.data(), map_out.data(), kMapN);
-                  benchmark::DoNotOptimize(map_out.data());
-                });
-    RooflineRow(&rows, "ConcatRows", "f32", be, "256x(128+128)",
-                int64_t{kRows} * (kDa + kDb),
-                int64_t{4} * 2 * kRows * (kDa + kDb), [&] {
-                  k::ConcatRowsInto(ca.data(), cb.data(), cat_out.data(),
-                                    kRows, kDa, kDb);
-                  benchmark::DoNotOptimize(cat_out.data());
-                });
-  }
+  RooflineRow(&rows, "MatMul", "f32", "64x256x256", int64_t{kM} * kN,
+              int64_t{4} * (kM * kK + kK * kN + kM * kN), kMatMulFlops, [&] {
+                k::MatMulInto(a.data(), b.data(), out.data(), kM, kK, kN);
+                benchmark::DoNotOptimize(out.data());
+              });
+  RooflineRow(&rows, "MatMul", "i8", "64x256x256", int64_t{kM} * kN,
+              // fp32 a + int8 b + per-row scale/zero + fp32 out.
+              int64_t{4} * kM * kK + int64_t{kK} * kN + int64_t{8} * kK +
+                  int64_t{4} * kM * kN,
+              kMatMulFlops, [&] {
+                k::MatMulI8Into(a.data(), bq.qdata(), bq.qscale(), bq.qzero(),
+                                out.data(), kM, kK, kN);
+                benchmark::DoNotOptimize(out.data());
+              });
+  RooflineRow(&rows, "AddRows", "f32", "256x256", int64_t{kRows} * kCols,
+              int64_t{4} * (2 * kRows * kCols + kCols), 0, [&] {
+                k::AddRowsInto(rows_in.data(), bias.data(), rows_out.data(),
+                               kRows, kCols);
+                benchmark::DoNotOptimize(rows_out.data());
+              });
+  RooflineRow(&rows, "Relu", "f32", "65536", int64_t{kMapN},
+              int64_t{4} * 2 * kMapN, 0, [&] {
+                k::ReluInto(map_in.data(), map_out.data(), kMapN);
+                benchmark::DoNotOptimize(map_out.data());
+              });
+  RooflineRow(&rows, "Gelu", "f32", "65536", int64_t{kMapN},
+              int64_t{4} * 2 * kMapN, 0, [&] {
+                k::GeluInto(map_in.data(), map_out.data(), kMapN);
+                benchmark::DoNotOptimize(map_out.data());
+              });
+  RooflineRow(&rows, "ConcatRows", "f32", "256x(128+128)",
+              int64_t{kRows} * (kDa + kDb),
+              int64_t{4} * 2 * kRows * (kDa + kDb), 0, [&] {
+                k::ConcatRowsInto(ca.data(), cb.data(), cat_out.data(), kRows,
+                                  kDa, kDb);
+                benchmark::DoNotOptimize(cat_out.data());
+              });
   return rows;
 }
 
@@ -316,12 +317,10 @@ void WriteGraphExecSidecar() {
                 "    \"compiled_wall_s\": %.6f,\n"
                 "    \"compiled_speedup\": %.3f\n"
                 "  },\n"
-                "  \"simd_compiled\": %s,\n"
                 "  \"roofline\": [\n",
                 segmentation.num_segments, segmentation.num_segments + 1,
                 kRepeats, eager_s, compiled_s,
-                compiled_s > 0.0 ? eager_s / compiled_s : 0.0,
-                vsd::tensor::kernels::SimdCompiled() ? "true" : "false");
+                compiled_s > 0.0 ? eager_s / compiled_s : 0.0);
   const std::string json = std::string(buf) + roofline + "\n  ]\n}\n";
   if (!vsd::bench::WriteSidecarFile("BENCH_micro.json", json)) return;
   std::fprintf(stderr,

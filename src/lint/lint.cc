@@ -662,11 +662,11 @@ void CheckPointerKey(const FileCtx& ctx) {
 
 // ---------------------------------------------------------------------------
 // kernel-bypass: every multiply-accumulate inner loop in the model layers
-// must go through the registry-dispatched kernels (tensor/kernels.h) so it
-// picks up the SIMD and int8 backends and stays inside the bit-identity
-// contract. A raw `out[...] += a * b` loop in src/tensor/, src/nn/, or
-// src/vlm/ outside the kernel TUs is a hand-rolled matmul/conv that the
-// registry can neither vectorize nor quantize. Kernel implementations
+// must call the shared kernels (tensor/kernels.h), so it has an int8
+// variant and computes the same bits in eager and compiled execution. A
+// raw `out[...] += a * b` loop in src/tensor/, src/nn/, or src/vlm/
+// outside the kernel TU is a hand-rolled matmul/conv that neither
+// quantization nor the graph executor can reach. Kernel implementations
 // themselves (src/tensor/kernels*) are exempt — they are the one place
 // such loops belong.
 // ---------------------------------------------------------------------------
@@ -696,9 +696,9 @@ void CheckKernelBypass(const FileCtx& ctx) {
     if (!has_mul) continue;
     ctx.Report(toks[i].line, "kernel-bypass",
                "raw multiply-accumulate loop outside the kernel layer; "
-               "route matmul-shaped work through tensor/kernels.h so it "
-               "dispatches via the registry (SIMD/int8 backends, "
-               "bit-identity contract) instead of a hand-rolled float loop");
+               "route matmul-shaped work through tensor/kernels.h (int8 "
+               "variant, eager/compiled bit-identity) instead of a "
+               "hand-rolled float loop");
   }
 }
 

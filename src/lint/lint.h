@@ -54,8 +54,8 @@ struct Finding {
 ///    runtime counting-operator-new contract)
 ///  * kernel-bypass  — raw `out[...] += a * b` multiply-accumulate loop in
 ///    src/tensor/, src/nn/, or src/vlm/ outside src/tensor/kernels*; such
-///    loops must route through tensor/kernels.h so they dispatch via the
-///    kernel registry (SIMD/int8 backends, bit-identity contract)
+///    loops must route through the shared kernels in tensor/kernels.h
+///    (int8 variant, eager/compiled bit-identity)
 ///  * guarded-by     — read/write of a VSD_GUARDED_BY(mu) field without
 ///    holding mu (guard declaration, manual lock window, or VSD_REQUIRES
 ///    on the enclosing function), or a resolvable call violating a

@@ -1,18 +1,14 @@
-// Scalar reference backend + the public dispatchers. The scalar loops are
-// the semantic definition of every kernel: all other backends must be
-// bit-identical to them (tests/quant_test.cc sweeps the contract).
+// The one implementation of every shared compute kernel. The eager
+// tensor/autograd path and the compiled graph executor both call these
+// functions, so their results are bit-identical by construction.
 #include "tensor/kernels.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/math_util.h"
-#include "tensor/kernels_backends.h"
-#include "tensor/registry.h"
 
 namespace vsd::tensor::kernels {
-
-namespace scalar {
 
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n) {
@@ -118,65 +114,6 @@ void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
       }
     }
   }
-}
-
-}  // namespace scalar
-
-// ---- Dispatchers ----
-
-namespace {
-
-template <typename Fn>
-Fn Dispatch(OpKind op, DType dtype) {
-  return reinterpret_cast<Fn>(
-      KernelRegistry::Instance().Resolve(op, dtype, ActiveBackend()));
-}
-
-}  // namespace
-
-void MatMulInto(const float* a, const float* b, float* out, int m, int k,
-                int n) {
-  Dispatch<MatMulF32Fn>(OpKind::kMatMul, DType::kF32)(a, b, out, m, k, n);
-}
-
-void MatMulI8Into(const float* a, const int8_t* bq, const float* bscale,
-                  const int32_t* bzero, float* out, int m, int k, int n) {
-  Dispatch<MatMulI8Fn>(OpKind::kMatMul, DType::kI8)(a, bq, bscale, bzero,
-                                                    out, m, k, n);
-}
-
-void AddRowsInto(const float* a, const float* bias, float* out, int rows,
-                 int cols) {
-  Dispatch<AddRowsFn>(OpKind::kAddRows, DType::kF32)(a, bias, out, rows,
-                                                     cols);
-}
-
-void ReluInto(const float* x, float* out, int n) {
-  Dispatch<MapFn>(OpKind::kRelu, DType::kF32)(x, out, n);
-}
-
-void TanhInto(const float* x, float* out, int n) {
-  Dispatch<MapFn>(OpKind::kTanh, DType::kF32)(x, out, n);
-}
-
-void SigmoidInto(const float* x, float* out, int n) {
-  Dispatch<MapFn>(OpKind::kSigmoid, DType::kF32)(x, out, n);
-}
-
-void GeluInto(const float* x, float* out, int n) {
-  Dispatch<MapFn>(OpKind::kGelu, DType::kF32)(x, out, n);
-}
-
-void ConcatRowsInto(const float* a, const float* b, float* out, int rows,
-                    int da, int db) {
-  Dispatch<ConcatRowsFn>(OpKind::kConcatRows, DType::kF32)(a, b, out, rows,
-                                                           da, db);
-}
-
-void Im2ColInto(const float* x, float* out, int n, int h, int w, int c,
-                int kh, int kw, int stride, int pad) {
-  Dispatch<Im2ColFn>(OpKind::kIm2Col, DType::kF32)(x, out, n, h, w, c, kh,
-                                                   kw, stride, pad);
 }
 
 }  // namespace vsd::tensor::kernels

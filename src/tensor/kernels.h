@@ -5,27 +5,22 @@
 
 namespace vsd::tensor::kernels {
 
-// ---- Shared compute kernels (backend-dispatched) ----
+// ---- Shared compute kernels ----
 //
 // Every op that appears both in the eager tensor/autograd forward pass and
-// in the compiled graph executor (`nn::graph`) is reached exactly once
-// through the entry points below, which dispatch through the
-// KernelRegistry (tensor/registry.h) keyed by (OpKind, DType, Backend).
-// Bit-identity between the execution modes is therefore structural: both
-// resolve to the same registered kernel for a given backend, and every
-// non-scalar backend is required to be bit-identical to the scalar
-// reference (fixed k-order accumulation, separate mul/add rounding — see
-// docs/INTERNALS.md "Kernel registry, dtypes & backends").
-// `tests/graph_exec_test.cc` and `tests/quant_test.cc` pin the contract.
+// in the compiled graph executor (`nn::graph`) is computed by exactly one
+// function below, and both execution modes call it directly. Bit-identity
+// between the modes is therefore structural (docs/INTERNALS.md "Kernels &
+// dtypes"); `tests/graph_exec_test.cc` and `tests/quant_test.cc` pin it.
 //
 // Kernels fully define their output range (zero-initializing first where
 // the loop accumulates or writes sparsely), so callers may hand them
-// arbitrary dirty memory — e.g. a reused arena slot. Dispatch is a fixed
-// array lookup: no heap allocation, safe inside Execute's zero-allocation
-// contract.
+// arbitrary dirty memory — e.g. a reused arena slot. No kernel allocates,
+// so all of them are safe inside Execute's zero-allocation contract.
 
-/// [M,K]x[K,N] -> [M,N] with rows of zeros in `a` skipped (the one-hot /
-/// sparse-mask fast path the eager MatMul relies on).
+/// [M,K]x[K,N] -> [M,N]. Each zero element a[i,p] is skipped, and with it
+/// the whole row p of `b` for output row i (the one-hot / sparse-mask fast
+/// path the eager MatMul relies on).
 void MatMulInto(const float* a, const float* b, float* out, int m, int k,
                 int n);
 

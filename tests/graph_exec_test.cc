@@ -32,7 +32,6 @@
 #include "img/slic.h"
 #include "nn/graph.h"
 #include "nn/layers.h"
-#include "tensor/registry.h"
 #include "vlm/foundation_model.h"
 #include "vlm/quantize.h"
 
@@ -55,18 +54,6 @@ class GraphModeGuard {
 
  private:
   bool previous_;
-};
-
-/// Pins the kernel backend for a scope (tensor/registry.h) and drops the
-/// override on exit, so tests compose regardless of VSD_BACKEND.
-class BackendGuard {
- public:
-  explicit BackendGuard(tensor::kernels::Backend backend) {
-    tensor::kernels::SetBackend(backend);
-  }
-  ~BackendGuard() { tensor::kernels::ClearBackendOverride(); }
-  BackendGuard(const BackendGuard&) = delete;
-  BackendGuard& operator=(const BackendGuard&) = delete;
 };
 
 /// Same small untrained world as batch_equivalence_test: deterministic and
@@ -328,31 +315,6 @@ TEST_P(GraphExecTest, RepeatedExecutionOnReusedArenaStaysIdentical) {
       ASSERT_EQ(rows.at(i), eager_rows[i])
           << "round " << round << " element " << i;
     }
-  }
-}
-
-TEST_P(GraphExecTest, SimdBackendMatchesScalarBitwise) {
-  // The SIMD kernels keep the scalar k-order, so the whole model forward —
-  // eager and compiled alike — must be bitwise identical across backends
-  // at every (batch, threads) point of the sweep.
-  if (!tensor::kernels::SimdCompiled()) {
-    GTEST_SKIP() << "SIMD backend not compiled in";
-  }
-  ModelWorld world;
-  cot::ChainConfig chain;
-  cot::ChainPipeline pipeline(&world.model, chain);
-  const auto samples = world.Pointers(world.dataset.size());
-
-  for (bool compiled : {false, true}) {
-    GraphModeGuard mode(compiled);
-    std::vector<double> scalar_probs;
-    {
-      BackendGuard scalar(tensor::kernels::Backend::kScalar);
-      scalar_probs = pipeline.PredictBatch(samples);
-    }
-    BackendGuard simd(tensor::kernels::Backend::kSimd);
-    EXPECT_EQ(pipeline.PredictBatch(samples), scalar_probs)
-        << "compiled=" << compiled;
   }
 }
 

@@ -650,9 +650,8 @@ TEST(KernelBypassRule, FlagsRawMacLoopsInModelLayers) {
 
 TEST(KernelBypassRule, AllowsKernelTUsOtherPathsAndNonMacUpdates) {
   const std::string mac = "out[j] += av * brow[j];";
-  // The kernel TUs are the one place MAC loops belong.
+  // The kernel TU is the one place MAC loops belong.
   EXPECT_TRUE(Rules("src/tensor/kernels.cc", mac).empty());
-  EXPECT_TRUE(Rules("src/tensor/kernels_simd.cc", mac).empty());
   // Outside the model layers the rule does not apply.
   EXPECT_TRUE(Rules("src/explain/lime.cc", mac).empty());
   EXPECT_TRUE(Rules("bench/harness.cc", mac).empty());

@@ -1,9 +1,8 @@
 // Tests for the int8 row-quantization path (tensor/quant.h, Tensor::
-// QuantizeInt8) and the kernel registry (tensor/registry.h): round-trip
+// QuantizeInt8) and the shared kernels (tensor/kernels.h): round-trip
 // error bounds, determinism across thread counts, the fused int8 MatMul's
-// bit-identity with dequantize-then-MatMul, registry lookup/fallback, and
-// scalar-vs-SIMD bitwise equality for every dispatched kernel including
-// vector-width tails.
+// bit-identity with dequantize-then-MatMul, and that every kernel fully
+// defines its output over dirty memory.
 #include "tensor/quant.h"
 
 #include <gtest/gtest.h>
@@ -15,20 +14,12 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "tensor/kernels.h"
-#include "tensor/registry.h"
 #include "tensor/tensor.h"
 
 namespace vsd::tensor {
 namespace {
 
 namespace k = ::vsd::tensor::kernels;
-
-/// RAII backend override, mirroring GraphModeGuard in graph_exec_test.cc.
-class BackendGuard {
- public:
-  explicit BackendGuard(k::Backend backend) { k::SetBackend(backend); }
-  ~BackendGuard() { k::ClearBackendOverride(); }
-};
 
 /// RAII global-thread-count override.
 class ThreadsGuard {
@@ -121,149 +112,122 @@ TEST(QuantMatMulTest, FusedInt8MatchesDequantizeThenMatMulBitwise) {
   // The fused kernel dequantizes inline in the same k-order the fp32
   // kernel reads b, so both orderings see identical float op sequences.
   Rng rng(11);
-  for (int backend = 0; backend < (k::SimdCompiled() ? 2 : 1); ++backend) {
-    BackendGuard guard(static_cast<k::Backend>(backend));
-    for (int n : {8, 13, 64}) {  // Includes non-multiple-of-8 tails.
-      Tensor a = Tensor::Randn({5, 24}, &rng);
-      Tensor b = Tensor::Randn({24, n}, &rng);
-      Tensor bq = b.QuantizeInt8();
-      Tensor fused = MatMul(a, bq);
-      Tensor reference = MatMul(a, bq.DequantizeF32());
-      ASSERT_EQ(fused.size(), reference.size());
-      EXPECT_EQ(0, std::memcmp(fused.data(), reference.data(),
-                               fused.size() * sizeof(float)))
-          << "backend=" << backend << " n=" << n;
-    }
+  for (int n : {8, 13, 64}) {
+    Tensor a = Tensor::Randn({5, 24}, &rng);
+    Tensor b = Tensor::Randn({24, n}, &rng);
+    Tensor bq = b.QuantizeInt8();
+    Tensor fused = MatMul(a, bq);
+    Tensor reference = MatMul(a, bq.DequantizeF32());
+    ASSERT_EQ(fused.size(), reference.size());
+    EXPECT_EQ(0, std::memcmp(fused.data(), reference.data(),
+                             fused.size() * sizeof(float)))
+        << "n=" << n;
   }
 }
 
-TEST(RegistryTest, ScalarIsRegisteredForEveryOp) {
-  auto& registry = k::KernelRegistry::Instance();
-  for (int op = 0; op < k::kNumOps; ++op) {
-    EXPECT_NE(nullptr, registry.Find(static_cast<k::OpKind>(op), DType::kF32,
-                                     k::Backend::kScalar))
-        << "op=" << op;
-  }
-  EXPECT_NE(nullptr, registry.Find(k::OpKind::kMatMul, DType::kI8,
-                                   k::Backend::kScalar));
-}
-
-TEST(RegistryTest, ResolveFallsBackToScalarForUnregisteredSlots) {
-  auto& registry = k::KernelRegistry::Instance();
-  // Tanh has no vectorized variant: the simd key holds the same scalar fn
-  // (libm per element), so resolving either backend lands on one kernel.
-  const auto scalar =
-      registry.Resolve(k::OpKind::kTanh, DType::kF32, k::Backend::kScalar);
-  const auto simd =
-      registry.Resolve(k::OpKind::kTanh, DType::kF32, k::Backend::kSimd);
-  EXPECT_EQ(scalar, simd);  // Same libm-per-element kernel either way.
-}
-
-TEST(RegistryTest, BackendOverrideWinsAndClears) {
-  {
-    BackendGuard guard(k::Backend::kScalar);
-    EXPECT_EQ(k::ActiveBackend(), k::Backend::kScalar);
-  }
-  if (k::SimdCompiled()) {
-    BackendGuard guard(k::Backend::kSimd);
-    EXPECT_EQ(k::ActiveBackend(), k::Backend::kSimd);
-  }
-}
-
-// Runs `fn` under both backends into separate buffers and expects bitwise
-// equality. Buffers are pre-filled with a dirty pattern so kernels that
-// fail to fully define their output range are caught too.
+// Runs `fn` into two buffers pre-filled with different patterns and
+// expects bitwise equality: a kernel that skips any output element (a
+// ragged tail, a zero-skipped row, an out-of-bounds tap) leaves the two
+// patterns showing through and fails.
 template <typename Fn>
-void ExpectBackendsBitIdentical(size_t out_size, Fn&& fn) {
-  if (!k::SimdCompiled()) GTEST_SKIP() << "SIMD backend not compiled in";
-  std::vector<float> out_scalar(out_size, -123.25f);
-  std::vector<float> out_simd(out_size, 456.75f);
-  {
-    BackendGuard guard(k::Backend::kScalar);
-    fn(out_scalar.data());
-  }
-  {
-    BackendGuard guard(k::Backend::kSimd);
-    fn(out_simd.data());
-  }
-  EXPECT_EQ(0, std::memcmp(out_scalar.data(), out_simd.data(),
+void ExpectOutputFullyDefined(size_t out_size, Fn&& fn) {
+  std::vector<float> out_a(out_size, -123.25f);
+  std::vector<float> out_b(out_size, 456.75f);
+  fn(out_a.data());
+  fn(out_b.data());
+  EXPECT_EQ(0, std::memcmp(out_a.data(), out_b.data(),
                            out_size * sizeof(float)));
 }
 
-TEST(SimdBitIdentityTest, MatMulF32IncludingTails) {
+TEST(KernelOutputTest, MatMulF32IncludingTails) {
   Rng rng(21);
   for (int n : {1, 7, 8, 9, 16, 33}) {
     Tensor a = Tensor::Randn({4, 10}, &rng);
     Tensor b = Tensor::Randn({10, n}, &rng);
-    ExpectBackendsBitIdentical(static_cast<size_t>(4) * n, [&](float* out) {
+    ExpectOutputFullyDefined(static_cast<size_t>(4) * n, [&](float* out) {
       k::MatMulInto(a.data(), b.data(), out, 4, 10, n);
     });
   }
 }
 
-TEST(SimdBitIdentityTest, MatMulF32SkipsZeroRows) {
-  // The zero-row fast path must fire identically in both backends.
+TEST(KernelOutputTest, MatMulF32SkipsZeroRows) {
+  // A whole row of zeros in `a` skips every MAC for that output row.
   Rng rng(22);
   Tensor a = Tensor::Randn({6, 12}, &rng);
   for (int j = 0; j < 12; ++j) a.data()[2 * 12 + j] = 0.0f;
   Tensor b = Tensor::Randn({12, 9}, &rng);
-  ExpectBackendsBitIdentical(static_cast<size_t>(6) * 9, [&](float* out) {
+  ExpectOutputFullyDefined(static_cast<size_t>(6) * 9, [&](float* out) {
     k::MatMulInto(a.data(), b.data(), out, 6, 12, 9);
   });
 }
 
-TEST(SimdBitIdentityTest, MatMulI8IncludingTails) {
+TEST(KernelOutputTest, MatMulI8IncludingTails) {
   Rng rng(23);
   for (int n : {1, 7, 8, 15, 32}) {
     Tensor a = Tensor::Randn({3, 20}, &rng);
     Tensor bq = Tensor::Randn({20, n}, &rng).QuantizeInt8();
-    ExpectBackendsBitIdentical(static_cast<size_t>(3) * n, [&](float* out) {
+    ExpectOutputFullyDefined(static_cast<size_t>(3) * n, [&](float* out) {
       k::MatMulI8Into(a.data(), bq.qdata(), bq.qscale(), bq.qzero(), out, 3,
                       20, n);
     });
   }
 }
 
-TEST(SimdBitIdentityTest, AddRowsIncludingTails) {
+TEST(KernelOutputTest, AddRowsIncludingTails) {
   Rng rng(24);
   for (int cols : {1, 5, 8, 19, 64}) {
     Tensor a = Tensor::Randn({7, cols}, &rng);
     Tensor bias = Tensor::Randn({cols}, &rng);
-    ExpectBackendsBitIdentical(static_cast<size_t>(7) * cols,
-                               [&](float* out) {
-                                 k::AddRowsInto(a.data(), bias.data(), out, 7,
-                                                cols);
-                               });
+    ExpectOutputFullyDefined(static_cast<size_t>(7) * cols, [&](float* out) {
+      k::AddRowsInto(a.data(), bias.data(), out, 7, cols);
+    });
   }
 }
 
-TEST(SimdBitIdentityTest, ReluHandlesNegZeroAndSpecials) {
-  // The SIMD mask trick must match `x > 0 ? x : 0` exactly, including
-  // -0.0f -> +0.0f and denormals.
+TEST(KernelOutputTest, ReluHandlesNegZeroAndSpecials) {
+  // -0.0f and denormals must still write a defined value.
   std::vector<float> x = {-1.0f, 0.0f,  -0.0f, 2.5f,   -2.5f, 1e-38f,
                           -1e-38f, 3.0f, -4.0f, 0.125f, 7.0f,  -0.5f};
-  ExpectBackendsBitIdentical(x.size(), [&](float* out) {
+  ExpectOutputFullyDefined(x.size(), [&](float* out) {
     k::ReluInto(x.data(), out, static_cast<int>(x.size()));
   });
 }
 
-TEST(SimdBitIdentityTest, GeluIncludingTails) {
+TEST(KernelOutputTest, GeluIncludingTails) {
   Rng rng(25);
   for (int n : {3, 8, 11, 40}) {
     Tensor x = Tensor::Randn({n}, &rng);
-    ExpectBackendsBitIdentical(static_cast<size_t>(n), [&](float* out) {
+    ExpectOutputFullyDefined(static_cast<size_t>(n), [&](float* out) {
       k::GeluInto(x.data(), out, n);
     });
   }
 }
 
-TEST(SimdBitIdentityTest, ConcatRowsMixedWidths) {
+TEST(KernelOutputTest, ConcatRowsMixedWidths) {
   Rng rng(26);
   Tensor a = Tensor::Randn({5, 13}, &rng);
   Tensor b = Tensor::Randn({5, 6}, &rng);
-  ExpectBackendsBitIdentical(static_cast<size_t>(5) * 19, [&](float* out) {
+  ExpectOutputFullyDefined(static_cast<size_t>(5) * 19, [&](float* out) {
     k::ConcatRowsInto(a.data(), b.data(), out, 5, 13, 6);
   });
+}
+
+TEST(KernelOutputTest, Im2ColWithPadding) {
+  // Padding taps read as zero without touching x, so the kernel must write
+  // them itself.
+  Rng rng(27);
+  constexpr int kN = 2, kH = 5, kW = 4, kC = 3, kK = 3;
+  Tensor x = Tensor::Randn({kN, kH, kW, kC}, &rng);
+  for (int stride : {1, 2}) {
+    for (int pad : {1, 2}) {
+      const int oh = (kH + 2 * pad - kK) / stride + 1;
+      const int ow = (kW + 2 * pad - kK) / stride + 1;
+      ExpectOutputFullyDefined(
+          static_cast<size_t>(kN) * oh * ow * kK * kK * kC, [&](float* out) {
+            k::Im2ColInto(x.data(), out, kN, kH, kW, kC, kK, kK, stride, pad);
+          });
+    }
+  }
 }
 
 TEST(QuantTensorTest, CloneDeepCopiesQuantStorage) {
