@@ -1,29 +1,9 @@
 #include "lint/annotations.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace vsd::lint {
 namespace {
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool IsIdent(const Token& t) { return t.kind == TokenKind::kIdentifier; }
-
-/// Index of the "(" matching the ")" at `close`, or toks.size() when
-/// unbalanced.
-size_t MatchBackward(const std::vector<Token>& toks, size_t close) {
-  int depth = 1;
-  size_t k = close;
-  while (k > 0 && depth > 0) {
-    --k;
-    if (toks[k].text == ")") ++depth;
-    else if (toks[k].text == "(") --depth;
-  }
-  return depth == 0 ? k : toks.size();
-}
 
 /// Mutex-ish std type names whose members demand annotation.
 const std::set<std::string>& MutexTypes() {
@@ -140,38 +120,21 @@ void AnnotationIndex::AddFile(const std::string& path,
       if (chain.empty()) continue;
       // Walk back over trailing specifiers (and earlier annotation macros)
       // to the ')' closing the parameter list, then to the method name.
-      size_t j = k;
-      while (j > 0) {
-        const std::string& u = toks[j - 1].text;
-        if (u == "const" || u == "override" || u == "final" || u == "&" ||
-            u == "&&" || u == "noexcept") {
-          --j;
-          continue;
-        }
-        if (u == ")") break;
-        j = 0;
-        break;
-      }
-      if (j == 0) continue;
-      size_t open = MatchBackward(toks, j - 1);
+      // `params_open(j)` is the '(' of the list whose trailing specifiers
+      // end just before j, or toks.size() when no list ends there.
+      auto params_open = [&](size_t j) {
+        static const std::set<std::string> kSpecifiers = {
+            "const", "override", "final", "&", "&&", "noexcept",
+        };
+        while (j > 0 && kSpecifiers.count(toks[j - 1].text)) --j;
+        if (j == 0 || toks[j - 1].text != ")") return toks.size();
+        return MatchBackward(toks, j - 1, "(", ")");
+      };
+      size_t open = params_open(k);
       // An earlier VSD_*(...) group is a specifier too: hop over it.
       while (open < toks.size() && open > 0 && IsIdent(toks[open - 1]) &&
              StartsWith(toks[open - 1].text, "VSD_")) {
-        size_t m = open - 1;
-        while (m > 0) {
-          const std::string& u = toks[m - 1].text;
-          if (u == "const" || u == "override" || u == "final" || u == "&" ||
-              u == "&&" || u == "noexcept") {
-            --m;
-            continue;
-          }
-          break;
-        }
-        if (m == 0 || toks[m - 1].text != ")") {
-          open = toks.size();
-          break;
-        }
-        open = MatchBackward(toks, m - 1);
+        open = params_open(open - 1);
       }
       if (open >= toks.size() || open == 0 || !IsIdent(toks[open - 1])) {
         continue;
@@ -236,21 +199,6 @@ AnnotationIndex BuildAnnotationIndex(const DataflowProgram& program) {
 // guarded-by
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct HeldLock {
-  std::string id;
-  std::string guard;  ///< Guard variable; empty for manual/REQUIRES holds.
-  int depth = 0;
-  bool manual = false;  ///< Manual or REQUIRES: never popped by scope exit.
-};
-
-std::string ShortLock(const std::string& id) {
-  return LastComponent(id);
-}
-
-}  // namespace
-
 std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
                                     const AnnotationIndex& index) {
   std::vector<Finding> findings;
@@ -263,90 +211,20 @@ std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
     // field initialization there needs no lock.
     const bool ctor_like =
         !cls.empty() && (fn.name == cls || fn.name == "~" + cls);
-
     const std::set<std::string> locals =
         CollectBodyLocals(toks, fn.body_open, fn.body_close);
-    std::vector<HeldLock> held;
-    if (self != nullptr) {
-      for (const std::string& id : self->requires_held) {
-        held.push_back(HeldLock{id, "", 0, true});
-      }
-    }
-    auto holds = [&](const std::string& id) {
-      for (const HeldLock& h : held) {
-        if (h.id == id) return true;
-      }
-      return false;
-    };
     std::set<std::string> reported;
-    int depth = 0;
 
-    for (size_t k = fn.body_open + 1; k < fn.body_close && k < toks.size();
-         ++k) {
+    LockScanHooks hooks;
+    hooks.relock_acquires = false;
+    hooks.on_token = [&](size_t k, const std::vector<HeldLock>& held) {
       const std::string& t = toks[k].text;
-      if (t == "{") {
-        ++depth;
-        continue;
-      }
-      if (t == "}") {
-        --depth;
-        held.erase(std::remove_if(held.begin(), held.end(),
-                                  [&](const HeldLock& h) {
-                                    return !h.manual && h.depth > depth;
-                                  }),
-                   held.end());
-        continue;
-      }
-      if (!IsIdent(toks[k])) continue;
-
-      // Guard declaration acquires its mutex args for the scope.
-      if (GuardTypes().count(t)) {
-        size_t j = k + 1;
-        if (j < toks.size() && toks[j].text == "<") j = SkipAngles(toks, j);
-        if (j >= toks.size() || !IsIdent(toks[j])) continue;
-        const std::string guard = toks[j].text;
-        ++j;
-        if (j >= toks.size() ||
-            (toks[j].text != "(" && toks[j].text != "{")) {
-          continue;
+      auto holds = [&](const std::string& id) {
+        for (const HeldLock& h : held) {
+          if (h.id == id) return true;
         }
-        const bool paren = toks[j].text == "(";
-        const size_t close = paren ? MatchForward(toks, j, "(", ")")
-                                   : MatchForward(toks, j, "{", "}");
-        for (const std::string& chain : GuardArgChains(toks, j, close)) {
-          held.push_back(
-              HeldLock{LockId(fn, locals, chain), guard, depth, false});
-        }
-        k = close;
-        continue;
-      }
-
-      // Manual mu.lock()/unlock() windows (and guard-var relock/unlock).
-      if ((t == "lock" || t == "lock_shared" || t == "unlock" ||
-           t == "unlock_shared") &&
-          k >= 2 && (toks[k - 1].text == "." || toks[k - 1].text == "->") &&
-          k + 1 < toks.size() && toks[k + 1].text == "(") {
-        const std::string chain = WalkBackChain(toks, k - 2);
-        if (chain.empty()) continue;
-        const std::string id = LockId(fn, locals, chain);
-        if (t == "lock" || t == "lock_shared") {
-          bool is_guard = false;
-          for (HeldLock& h : held) is_guard |= h.guard == chain;
-          if (is_guard) continue;
-          // Re-acquiring through a deferred/unlocked guard variable.
-          bool relock = false;
-          for (const HeldLock& h : held) relock |= h.id == id;
-          if (!relock) held.push_back(HeldLock{id, "", depth, true});
-        } else {
-          held.erase(std::remove_if(held.begin(), held.end(),
-                                    [&](const HeldLock& h) {
-                                      return h.guard == chain || h.id == id;
-                                    }),
-                     held.end());
-        }
-        continue;
-      }
-
+        return false;
+      };
       // Access to a VSD_GUARDED_BY field of this class.
       if (!ctor_like && ca != nullptr && ca->guarded.count(t) &&
           !locals.count(t) && !fn.params.count(t)) {
@@ -356,74 +234,60 @@ std::vector<Finding> CheckGuardedBy(const DataflowProgram& program,
             prev == "->" && k >= 2 && toks[k - 2].text == "this";
         if (bare || via_this) {
           const std::string& required = ca->guarded.at(t);
-          if (!holds(required)) {
-            const std::string key =
-                t + ":" + std::to_string(toks[k].line);
-            if (reported.insert(key).second) {
-              findings.push_back(Finding{
-                  fn.file, toks[k].line, "guarded-by",
-                  "'" + t + "' is VSD_GUARDED_BY(" + ShortLock(required) +
-                      ") but " + fn.QualifiedName() +
-                      " touches it without holding '" + required +
-                      "'; take the lock, or mark the function VSD_REQUIRES(" +
-                      ShortLock(required) + ") and fix its callers"});
-            }
+          if (!holds(required) &&
+              reported.insert(t + ":" + std::to_string(toks[k].line))
+                  .second) {
+            findings.push_back(Finding{
+                fn.file, toks[k].line, "guarded-by",
+                "'" + t + "' is VSD_GUARDED_BY(" + LastComponent(required) +
+                    ") but " + fn.QualifiedName() +
+                    " touches it without holding '" + required +
+                    "'; take the lock, or mark the function VSD_REQUIRES(" +
+                    LastComponent(required) + ") and fix its callers"});
           }
-          continue;
+          return;
         }
       }
 
       // Resolvable call: enforce the callee's REQUIRES/EXCLUDES contract.
-      if (k + 1 < toks.size() && toks[k + 1].text == "(" &&
-          !HeadKeywords().count(t)) {
-        const std::string& prev = toks[k - 1].text;
-        const bool via_this =
-            prev == "->" && k >= 2 && toks[k - 2].text == "this";
-        if ((prev == "." || prev == "->") && !via_this) continue;
-        if (prev == "::") {
-          size_t e = k;
-          while (e >= 2 && toks[e - 1].text == "::" && IsIdent(toks[e - 2])) {
-            e -= 2;
+      if (!IsLinkableCall(toks, k)) return;
+      for (const DfFunction* callee : program.Resolve(fn, t)) {
+        const MethodContract* c2 =
+            index.ContractFor(callee->qualifier, callee->name);
+        if (c2 == nullptr) continue;
+        for (const std::string& id : c2->requires_held) {
+          if (holds(id)) continue;
+          const std::string key =
+              "req:" + t + ":" + id + ":" + std::to_string(toks[k].line);
+          if (reported.insert(key).second) {
+            findings.push_back(Finding{
+                fn.file, toks[k].line, "guarded-by",
+                "call to '" + callee->QualifiedName() +
+                    "' which is VSD_REQUIRES(" + LastComponent(id) +
+                    ") without holding '" + id +
+                    "'; acquire the lock before the call"});
           }
-          static const std::set<std::string> kStdish = {
-              "std", "chrono", "this_thread", "fs", "filesystem", "testing",
-          };
-          if (kStdish.count(toks[e].text)) continue;
         }
-        for (const DfFunction* callee : program.Resolve(fn, t)) {
-          const MethodContract* c2 =
-              index.ContractFor(callee->qualifier, callee->name);
-          if (c2 == nullptr) continue;
-          for (const std::string& id : c2->requires_held) {
-            if (holds(id)) continue;
-            const std::string key =
-                "req:" + t + ":" + id + ":" + std::to_string(toks[k].line);
-            if (reported.insert(key).second) {
-              findings.push_back(Finding{
-                  fn.file, toks[k].line, "guarded-by",
-                  "call to '" + callee->QualifiedName() +
-                      "' which is VSD_REQUIRES(" + ShortLock(id) +
-                      ") without holding '" + id +
-                      "'; acquire the lock before the call"});
-            }
-          }
-          for (const std::string& id : c2->excludes) {
-            if (!holds(id)) continue;
-            const std::string key =
-                "exc:" + t + ":" + id + ":" + std::to_string(toks[k].line);
-            if (reported.insert(key).second) {
-              findings.push_back(Finding{
-                  fn.file, toks[k].line, "guarded-by",
-                  "call to '" + callee->QualifiedName() +
-                      "' which is VSD_EXCLUDES(" + ShortLock(id) +
-                      ") while holding '" + id +
-                      "'; a non-recursive mutex self-deadlocks — release "
-                      "before the call"});
-            }
+        for (const std::string& id : c2->excludes) {
+          if (!holds(id)) continue;
+          const std::string key =
+              "exc:" + t + ":" + id + ":" + std::to_string(toks[k].line);
+          if (reported.insert(key).second) {
+            findings.push_back(Finding{
+                fn.file, toks[k].line, "guarded-by",
+                "call to '" + callee->QualifiedName() +
+                    "' which is VSD_EXCLUDES(" + LastComponent(id) +
+                    ") while holding '" + id +
+                    "'; a non-recursive mutex self-deadlocks — release "
+                    "before the call"});
           }
         }
       }
-    }
+    };
+    ScanFunctionLocks(toks, fn, locals,
+                      self != nullptr ? self->requires_held
+                                      : std::set<std::string>{},
+                      hooks);
   }
   return findings;
 }
@@ -485,12 +349,8 @@ std::map<std::string, ContKind> DeclaredContainers(
     else continue;
     size_t j = k + 1;
     if (j < toks.size() && toks[j].text == "<") j = SkipAngles(toks, j);
-    while (j < toks.size() &&
-           (toks[j].text == "&" || toks[j].text == "*" ||
-            toks[j].text == "const")) {
-      ++j;
-    }
-    if (j < toks.size() && IsIdent(toks[j])) kinds[toks[j].text] = kind;
+    const size_t name = NameAfterType(toks, j, toks.size());
+    if (name < toks.size()) kinds[toks[name].text] = kind;
   }
   return kinds;
 }

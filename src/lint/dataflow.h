@@ -1,6 +1,7 @@
 #ifndef VSD_LINT_DATAFLOW_H_
 #define VSD_LINT_DATAFLOW_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -8,6 +9,7 @@
 
 #include "lint/lexer.h"
 #include "lint/lint.h"
+#include "lint/tokens.h"
 
 /// Lightweight intraprocedural dataflow on top of the lexer (no parser, no
 /// types — see docs/INTERNALS.md "Dataflow analyses"). The engine recovers
@@ -54,54 +56,17 @@ struct DfFunction {
 std::vector<DfFunction> ExtractFunctions(const std::string& file,
                                          const std::vector<Token>& toks);
 
-// Token-walk utilities shared with the annotation analyses
-// (lint/annotations.h). Semantics are pinned by tests/dataflow_test.cc.
-
-/// Keywords that can precede '(' without being a call or definition head.
-const std::set<std::string>& HeadKeywords();
-
-/// Index of the token matching the opener at `open` ("(" / "{" / "["), or
-/// toks.size() when unbalanced.
-size_t MatchForward(const std::vector<Token>& toks, size_t open,
-                    const char* opener, const char* closer);
-
-/// With toks[open] == "<", returns the index one past the matching ">".
-/// Handles ">>" closing two levels (template shorthand).
-size_t SkipAngles(const std::vector<Token>& toks, size_t open);
-
-/// Receiver chain ending at token `e`, walked back through . / -> (and a
-/// leading `this->`), e.g. "entry.mu". Empty when the receiver is dynamic
-/// (call or subscript result) or not an identifier.
-std::string WalkBackChain(const std::vector<Token>& toks, size_t e);
-
-/// Canonical graph identity for a mutex named by `chain` inside `fn`:
-/// locals/statics are per-function, members are per-class, everything else
-/// (file-scope globals seen from free functions) is per-file.
-std::string LockId(const DfFunction& fn, const std::set<std::string>& locals,
-                   const std::string& chain);
-
-/// RAII guard class names treated as lock acquisitions (lock_guard,
-/// unique_lock, shared_lock, scoped_lock).
-const std::set<std::string>& GuardTypes();
-
-/// Mutex argument chains of a guard constructor: top-level comma-separated
-/// args in (open, close), std lock tags skipped, dynamic expressions
-/// dropped.
-std::vector<std::string> GuardArgChains(const std::vector<Token>& toks,
-                                        size_t open, size_t close);
-
 /// Names declared as locals inside [body_open, body_close): `Type name ...`
-/// shapes, including static locals. Used to scope lock identities and to
-/// distinguish per-function statics from class members.
+/// shapes (IsDeclaredName) ending at = ; ( { or [, including static
+/// locals. Used to scope lock identities and to distinguish per-function
+/// statics from class members.
 std::set<std::string> CollectBodyLocals(const std::vector<Token>& toks,
                                         size_t body_open, size_t body_close);
 
 /// Whole-program function table over the same file walk as the include
-/// graph. Call sites are resolved by name only for bare and ::-qualified
-/// calls (member calls through . / -> are never linked — the receiver's
-/// type is unknown): same-class candidates win, then same-file, then a
-/// unique cross-file match; ambiguous names resolve to nothing rather than
-/// risk a false edge.
+/// graph. Call sites are resolved by name only: same-class candidates win,
+/// then same-file, then a unique cross-file match; ambiguous names resolve
+/// to nothing rather than risk a false edge.
 class DataflowProgram {
  public:
   /// Registers a lexed file. Call in sorted path order for deterministic
@@ -124,6 +89,50 @@ class DataflowProgram {
   std::vector<DfFunction> functions_;
   std::map<std::string, std::vector<size_t>> by_name_;
 };
+
+// ---------------------------------------------------------------------------
+// Held-lock scanning (lock-order and guarded-by)
+// ---------------------------------------------------------------------------
+
+/// Whether toks[k] heads a call the lock analyses resolve by name: a bare
+/// call, a `this->` call, or a `::`-qualified call outside std and
+/// friends. Calls through any other receiver (. / ->) are never linked —
+/// the receiver's type is unknown to a lexer.
+bool IsLinkableCall(const std::vector<Token>& toks, size_t k);
+
+/// One lock held at some point of a ScanFunctionLocks walk.
+struct HeldLock {
+  std::string id;       ///< Canonical lock identity (see BuildLockGraph).
+  std::string guard;    ///< Guard variable; empty for manual/entry holds.
+  int depth = 0;        ///< Brace depth at acquisition (guards pop with it).
+  bool manual = false;  ///< Manual or entry hold: never popped by scope exit.
+};
+
+struct LockScanHooks {
+  /// Each acquisition of `id`; `held` is the held set just before it.
+  std::function<void(const std::string& id, int line,
+                     const std::vector<HeldLock>& held)>
+      on_acquire;
+  /// Every other identifier toks[k] of the body (anything that is not part
+  /// of a guard declaration or a manual lock()/unlock() call).
+  std::function<void(size_t k, const std::vector<HeldLock>& held)> on_token;
+  /// What a manual lock() of an id already held does: lock-order counts it
+  /// as one more acquisition (and a manual hold that outlives any guard);
+  /// guarded-by treats it as a no-op.
+  bool relock_acquires = true;
+};
+
+/// The one held-lock scanner behind lock-order and guarded-by. Walks `fn`'s
+/// body tracking the held set by brace depth: a guard declaration
+/// (lock_guard, unique_lock, shared_lock, scoped_lock) holds its mutex
+/// arguments for its scope, manual lock()/unlock() (and the shared
+/// variants) open and close a hold, and `entry_held` (VSD_REQUIRES) is held
+/// from entry until a manual unlock(). `locals` (CollectBodyLocals of the
+/// body) scope lock ids.
+void ScanFunctionLocks(const std::vector<Token>& toks, const DfFunction& fn,
+                       const std::set<std::string>& locals,
+                       const std::set<std::string>& entry_held,
+                       const LockScanHooks& hooks);
 
 // ---------------------------------------------------------------------------
 // lock-order
@@ -167,6 +176,14 @@ LockGraph BuildLockGraphFromTree(const std::string& root,
 // nondet-taint
 // ---------------------------------------------------------------------------
 
+/// Names that read the wall clock (system_clock, time, localtime, ...):
+/// the wall-clock rule's ban list and nondet-taint's clock sources.
+const std::set<std::string>& WallClockNames();
+
+/// Names that read thread identity (get_id, pthread_self, gettid): the
+/// thread-id rule's ban list and nondet-taint's thread-id sources.
+const std::set<std::string>& ThreadIdNames();
+
 /// A nondeterministic source occurrence inside one function body.
 struct TaintSource {
   size_t token = 0;  ///< Token index of the source.
@@ -177,8 +194,7 @@ struct TaintSource {
 /// All nondeterministic sources in `fn`'s body: wall-clock reads, thread
 /// ids, pointer-to-integer casts, and shared-Rng draws inside ParallelFor/
 /// ParallelMap call extents.
-std::vector<TaintSource> FindNondetSources(const std::string& path,
-                                           const std::vector<Token>& toks,
+std::vector<TaintSource> FindNondetSources(const std::vector<Token>& toks,
                                            const DfFunction& fn);
 
 /// Forward taint propagation over `fn`'s body: a variable is tainted when a

@@ -8,15 +8,12 @@
 #include <string>
 
 #include "lint/lint.h"
+#include "lint/tokens.h"
 
 namespace vsd::lint {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
 
 /// Splits on '\n'. The final newline (present in every checked-in file) is
 /// re-appended by Join, so a trailing "" element never appears.

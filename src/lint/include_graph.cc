@@ -5,12 +5,10 @@
 #include <set>
 #include <sstream>
 
+#include "lint/tokens.h"
+
 namespace vsd::lint {
 namespace {
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
 
 /// Prefix -> layer. Order matters only for readability; prefixes are
 /// disjoint. Kept in one table so the checker, the DOT dump, and the docs

@@ -15,20 +15,12 @@
 #include "lint/dataflow.h"
 #include "lint/include_graph.h"
 #include "lint/lexer.h"
+#include "lint/tokens.h"
 
 namespace vsd::lint {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
 
 bool IsHeaderPath(const std::string& path) { return EndsWith(path, ".h"); }
 
@@ -96,84 +88,16 @@ void CheckRawRand(const FileCtx& ctx) {
 // indexes it inside (streams[i].Uniform()), or declares a body-local Rng.
 // ---------------------------------------------------------------------------
 void CheckRngFork(const FileCtx& ctx) {
-  static const std::set<std::string> kDrawMethods = {
-      "Next",        "Uniform",  "UniformInt",
-      "Normal",      "Bernoulli", "Shuffle",
-      "SampleIndex", "SampleWithoutReplacement", "Fork",
-  };
   const auto& toks = ctx.lex.tokens;
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        (toks[i].text != "ParallelFor" && toks[i].text != "ParallelMap")) {
-      continue;
-    }
-    // Skip optional template arguments: ParallelMap<T>(...).
-    size_t j = i + 1;
-    if (j < toks.size() && toks[j].text == "<") {
-      int depth = 1;
-      ++j;
-      while (j < toks.size() && depth > 0) {
-        if (toks[j].text == "<") ++depth;
-        else if (toks[j].text == ">") --depth;
-        else if (toks[j].text == ">>") depth -= 2;
-        ++j;
-      }
-    }
-    if (j >= toks.size() || toks[j].text != "(") continue;
-    // Find the matching close paren: [open, close) is the call's extent.
-    size_t open = j;
-    int depth = 1;
-    size_t close = open + 1;
-    while (close < toks.size() && depth > 0) {
-      if (toks[close].text == "(") ++depth;
-      else if (toks[close].text == ")") --depth;
-      if (depth == 0) break;
-      ++close;
-    }
-
-    // Identifiers declared inside the call extent (Rng r / Rng& r / auto r)
-    // are per-iteration locals and safe to draw from.
-    std::set<std::string> locals;
-    for (size_t k = open + 1; k + 1 < close; ++k) {
-      if (toks[k].kind != TokenKind::kIdentifier ||
-          (toks[k].text != "Rng" && toks[k].text != "auto")) {
-        continue;
-      }
-      size_t m = k + 1;
-      while (m < close &&
-             (toks[m].text == "&" || toks[m].text == "*" ||
-              toks[m].text == "const")) {
-        ++m;
-      }
-      if (m < close && toks[m].kind == TokenKind::kIdentifier) {
-        locals.insert(toks[m].text);
-      }
-    }
-
-    for (size_t k = open + 2; k + 1 < close; ++k) {
-      if (toks[k].kind != TokenKind::kIdentifier ||
-          kDrawMethods.find(toks[k].text) == kDrawMethods.end()) {
-        continue;
-      }
-      const std::string& access = toks[k - 1].text;
-      if (access != "." && access != "->") continue;
-      if (k + 1 >= close || toks[k + 1].text != "(") continue;
-      const Token& recv = toks[k - 2];
-      // streams[i].Uniform() / MakeRng(i).Next(): the receiver is a
-      // per-index expression, which is exactly the sanctioned pattern.
-      if (recv.text == "]" || recv.text == ")") continue;
-      if (recv.kind != TokenKind::kIdentifier) continue;
-      // Qualified receivers (obj.rng.Next) still end in an identifier, and
-      // a shared nested member is just as racy, so fall through for those.
-      if (locals.count(recv.text)) continue;
+  for (const CallExtent& call : FindCalls(toks, 0, toks.size())) {
+    for (size_t k : SharedRngDraws(toks, call.open, call.close)) {
       ctx.Report(toks[k].line, "rng-fork",
-                 "'" + recv.text + "." + toks[k].text +
+                 "'" + toks[k - 2].text + "." + toks[k].text +
                      "()' inside a ParallelFor/ParallelMap body draws from a "
                      "shared Rng (data race + scheduling-dependent results); "
                      "Fork() per-index streams before the loop or declare a "
                      "body-local Rng");
     }
-    i = open;  // Continue after the call head; nested calls re-scan inside.
   }
 }
 
@@ -197,15 +121,8 @@ void CheckFloatEq(const FileCtx& ctx) {
         (toks[i].text != "double" && toks[i].text != "float")) {
       continue;
     }
-    size_t m = i + 1;
-    while (m < toks.size() &&
-           (toks[m].text == "&" || toks[m].text == "*" ||
-            toks[m].text == "const")) {
-      ++m;
-    }
-    if (m < toks.size() && toks[m].kind == TokenKind::kIdentifier) {
-      float_vars.insert(toks[m].text);
-    }
+    const size_t name = NameAfterType(toks, i + 1, toks.size());
+    if (name < toks.size()) float_vars.insert(toks[name].text);
   }
   auto is_floaty = [&](const Token& t) {
     if (t.kind == TokenKind::kNumber) return t.is_float;
@@ -332,22 +249,8 @@ void CheckUnorderedIter(const FileCtx& ctx) {
     }
     size_t j = i + 1;
     if (j >= toks.size() || toks[j].text != "<") continue;
-    int depth = 1;
-    ++j;
-    while (j < toks.size() && depth > 0) {
-      if (toks[j].text == "<") ++depth;
-      else if (toks[j].text == ">") --depth;
-      else if (toks[j].text == ">>") depth -= 2;
-      ++j;
-    }
-    while (j < toks.size() &&
-           (toks[j].text == "&" || toks[j].text == "*" ||
-            toks[j].text == "const")) {
-      ++j;
-    }
-    if (j < toks.size() && toks[j].kind == TokenKind::kIdentifier) {
-      unordered_vars.insert(toks[j].text);
-    }
+    const size_t name = NameAfterType(toks, SkipAngles(toks, j), toks.size());
+    if (name < toks.size()) unordered_vars.insert(toks[name].text);
   }
   if (unordered_vars.empty()) return;
 
@@ -415,49 +318,23 @@ void CheckPerSamplePredict(const FileCtx& ctx) {
   static const std::set<std::string> kSingleCalls = {
       "Predict", "PredictLabel", "PredictProbStressed",
   };
-  const auto& toks = ctx.lex.tokens;
-
-  auto matching = [&](size_t open, const char* opener, const char* closer) {
-    int depth = 1;
-    size_t k = open + 1;
-    while (k < toks.size() && depth > 0) {
-      if (toks[k].text == opener) ++depth;
-      else if (toks[k].text == closer) --depth;
-      if (depth == 0) break;
-      ++k;
-    }
-    return k;
+  static const std::set<std::string> kLoopHeads = {
+      "for", "while", "ParallelFor", "ParallelMap", "EvaluatePredictor",
   };
+  const auto& toks = ctx.lex.tokens;
 
   // Loop extents: for/while statements (header + braced body) and the
   // per-index callables handed to ParallelFor/ParallelMap/
   // EvaluatePredictor (each is a per-sample loop in disguise).
   std::vector<std::pair<size_t, size_t>> extents;
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier) continue;
-    const bool is_loop = toks[i].text == "for" || toks[i].text == "while";
-    const bool is_call = toks[i].text == "ParallelFor" ||
-                         toks[i].text == "ParallelMap" ||
-                         toks[i].text == "EvaluatePredictor";
-    if (!is_loop && !is_call) continue;
-    size_t j = i + 1;
-    // Skip optional template arguments: ParallelMap<T>(...).
-    if (is_call && j < toks.size() && toks[j].text == "<") {
-      int depth = 1;
-      ++j;
-      while (j < toks.size() && depth > 0) {
-        if (toks[j].text == "<") ++depth;
-        else if (toks[j].text == ">") --depth;
-        else if (toks[j].text == ">>") depth -= 2;
-        ++j;
-      }
+  for (const CallExtent& call : FindCalls(toks, 0, toks.size(), kLoopHeads)) {
+    const std::string& head = toks[call.head].text;
+    size_t end = call.close;
+    if ((head == "for" || head == "while") && end + 1 < toks.size() &&
+        toks[end + 1].text == "{") {
+      end = MatchForward(toks, end + 1, "{", "}");
     }
-    if (j >= toks.size() || toks[j].text != "(") continue;
-    size_t end = matching(j, "(", ")");
-    if (is_loop && end + 1 < toks.size() && toks[end + 1].text == "{") {
-      end = matching(end + 1, "{", "}");
-    }
-    extents.emplace_back(j, end);
+    extents.emplace_back(call.open, end);
   }
   if (extents.empty()) return;
 
@@ -563,18 +440,9 @@ void CheckBlockingWait(const FileCtx& ctx) {
 // ---------------------------------------------------------------------------
 void CheckWallClock(const FileCtx& ctx) {
   if (!InResultPath(ctx.path)) return;
-  static const std::set<std::string> kBanned = {
-      "system_clock", "high_resolution_clock", "time",
-      "localtime",    "gmtime",                "ctime",
-      "strftime",     "clock",                 "timespec_get",
-      "gettimeofday", "clock_gettime",
-  };
   const auto& toks = ctx.lex.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        kBanned.find(toks[i].text) == kBanned.end()) {
-      continue;
-    }
+    if (!IsIdent(toks[i]) || !WallClockNames().count(toks[i].text)) continue;
     // Member access (cfg.time, obj->clock) is some other class's member.
     if (i > 0 && (toks[i - 1].text == "." || toks[i - 1].text == "->")) {
       continue;
@@ -596,15 +464,9 @@ void CheckWallClock(const FileCtx& ctx) {
 // ---------------------------------------------------------------------------
 void CheckThreadId(const FileCtx& ctx) {
   if (!InResultPath(ctx.path)) return;
-  static const std::set<std::string> kBanned = {
-      "get_id", "pthread_self", "gettid",
-  };
   const auto& toks = ctx.lex.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kIdentifier ||
-        kBanned.find(toks[i].text) == kBanned.end()) {
-      continue;
-    }
+    if (!IsIdent(toks[i]) || !ThreadIdNames().count(toks[i].text)) continue;
     ctx.Report(toks[i].line, "thread-id",
                "'" + toks[i].text +
                    "' observes thread identity in a result path; which "
@@ -724,10 +586,25 @@ const std::vector<std::string>& AllRules() {
 
 namespace {
 
+using SuppressionTable = std::map<int, std::set<std::string>>;
+
+/// Stable sort by (file, line): the order every entry point reports in.
+void SortByFileLine(std::vector<Finding>* findings) {
+  std::stable_sort(findings->begin(), findings->end(),
+                   [](const Finding& a, const Finding& b) {
+                     return a.file != b.file ? a.file < b.file
+                                             : a.line < b.line;
+                   });
+}
+
+void Append(std::vector<Finding>* to, std::vector<Finding> from) {
+  to->insert(to->end(), std::make_move_iterator(from.begin()),
+             std::make_move_iterator(from.end()));
+}
+
 /// A `// vsd-lint: allow(rule)` comment suppresses findings on its own line
 /// and on the following line. Shared by the per-file and tree-level paths.
-bool IsSuppressed(const Finding& f,
-                  const std::map<int, std::set<std::string>>& suppressions) {
+bool IsSuppressed(const Finding& f, const SuppressionTable& suppressions) {
   for (int line : {f.line, f.line - 1}) {
     auto it = suppressions.find(line);
     if (it != suppressions.end() && it->second.count(f.rule)) return true;
@@ -756,28 +633,18 @@ std::vector<Finding> CollectFileFindings(const std::string& path,
   CheckPointerKey(ctx);
   CheckKernelBypass(ctx);
   CheckUnguardedCaptures(path, lex, &findings);
-  for (Finding& f : CheckNondetTaint(path, lex)) {
-    findings.push_back(std::move(f));
-  }
+  Append(&findings, CheckNondetTaint(path, lex));
   return findings;
 }
 
 /// The whole-program dataflow rules, raw.
 std::vector<Finding> ProgramFindings(const DataflowProgram& program) {
   std::vector<Finding> findings = CheckHotPathAlloc(program);
-  for (Finding& f : CheckLockOrder(BuildLockGraph(program))) {
-    findings.push_back(std::move(f));
-  }
+  Append(&findings, CheckLockOrder(BuildLockGraph(program)));
   const AnnotationIndex ann = BuildAnnotationIndex(program);
-  for (Finding& f : CheckGuardedBy(program, ann)) {
-    findings.push_back(std::move(f));
-  }
-  for (Finding& f : CheckUnannotatedMutex(ann)) {
-    findings.push_back(std::move(f));
-  }
-  for (Finding& f : CheckRefInvalidation(program)) {
-    findings.push_back(std::move(f));
-  }
+  Append(&findings, CheckGuardedBy(program, ann));
+  Append(&findings, CheckUnannotatedMutex(ann));
+  Append(&findings, CheckRefInvalidation(program));
   return findings;
 }
 
@@ -790,16 +657,13 @@ std::vector<Finding> LintContent(const std::string& path,
   // One-file program, so the dataflow rules work on fixtures too.
   DataflowProgram program;
   program.AddFile(path, lex);
-  for (Finding& f : ProgramFindings(program)) findings.push_back(std::move(f));
+  Append(&findings, ProgramFindings(program));
 
   std::vector<Finding> kept;
   for (Finding& f : findings) {
     if (!IsSuppressed(f, lex.suppressions)) kept.push_back(std::move(f));
   }
-  std::stable_sort(kept.begin(), kept.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.line < b.line;
-                   });
+  SortByFileLine(&kept);
   return kept;
 }
 
@@ -840,74 +704,80 @@ bool ReadFileToString(const std::string& root, const std::string& rel,
 
 namespace {
 
-/// Per-file lex + analysis result, computed in parallel by LintTree and
-/// AuditFiles and merged serially in path order.
-struct LintedFile {
-  bool ok = false;
-  LexResult lex;
-  std::vector<Finding> raw;  ///< Unfiltered per-file findings.
+/// Every file of the standard walk with its content. An unreadable file is
+/// skipped, with an io-error finding in `errors` when that is non-null.
+std::vector<std::pair<std::string, std::string>> ReadSources(
+    const std::string& root, const std::vector<std::string>& subdirs,
+    std::vector<Finding>* errors) {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const std::string& rel : ListSourceFiles(root, subdirs)) {
+    std::string content;
+    if (ReadFileToString(root, rel, &content)) {
+      files.emplace_back(rel, std::move(content));
+    } else if (errors != nullptr) {
+      errors->push_back(Finding{rel, 0, "io-error", "cannot read file"});
+    }
+  }
+  return files;
+}
+
+/// Raw findings of every rule over a set of files — each file's own rules
+/// in input order, then the include-graph and whole-program rules — with
+/// each file's suppression table, unapplied.
+struct RawTree {
+  std::vector<Finding> findings;
+  std::map<std::string, SuppressionTable> suppressions;
 };
 
-LintedFile LintOneFile(const std::string& path, const std::string& content) {
-  LintedFile out;
-  out.ok = true;
-  out.lex = Lex(content);
-  out.raw = CollectFileFindings(path, out.lex);
-  return out;
+/// The one assembly behind LintTree and AuditFiles. Lexing and per-file
+/// analysis run on the global thread pool, each index writing only its own
+/// slot; the merge is serial in input order, so any VSD_THREADS count
+/// produces the same result.
+RawTree LintRaw(const std::vector<std::pair<std::string, std::string>>& files) {
+  struct Linted {
+    LexResult lex;
+    std::vector<Finding> raw;
+  };
+  const std::vector<Linted> per = ParallelMap<Linted>(
+      static_cast<int64_t>(files.size()), [&](int64_t i) {
+        Linted out;
+        out.lex = Lex(files[i].second);
+        out.raw = CollectFileFindings(files[i].first, out.lex);
+        return out;
+      });
+
+  RawTree tree;
+  IncludeGraphBuilder includes;
+  DataflowProgram program;
+  for (size_t i = 0; i < files.size(); ++i) {
+    const std::string& path = files[i].first;
+    includes.AddFile(path, per[i].lex);
+    program.AddFile(path, per[i].lex);
+    tree.suppressions[path] = per[i].lex.suppressions;
+    tree.findings.insert(tree.findings.end(), per[i].raw.begin(),
+                         per[i].raw.end());
+  }
+  const IncludeGraph graph = includes.Build();
+  Append(&tree.findings, CheckLayering(graph));
+  Append(&tree.findings, CheckCycles(graph));
+  Append(&tree.findings, ProgramFindings(program));
+  return tree;
 }
 
 }  // namespace
 
 std::vector<Finding> LintTree(const std::string& root,
                               const std::vector<std::string>& subdirs) {
-  const std::vector<std::string> files = ListSourceFiles(root, subdirs);
-  // Lex + per-file analysis in parallel; each index writes only its own
-  // slot, so any VSD_THREADS count produces the same vector.
-  const std::vector<LintedFile> per = ParallelMap<LintedFile>(
-      static_cast<int64_t>(files.size()), [&](int64_t i) {
-        std::string content;
-        if (!ReadFileToString(root, files[i], &content)) return LintedFile{};
-        return LintOneFile(files[i], content);
-      });
-
-  // Deterministic serial merge in sorted path order.
   std::vector<Finding> findings;
-  IncludeGraphBuilder builder;
-  DataflowProgram program;
-  // Per-file suppression tables, kept so they also apply to the tree-level
-  // findings (e.g. a reasoned allow(layering) on an #include line).
-  std::map<std::string, std::map<int, std::set<std::string>>> suppressions;
-  for (size_t i = 0; i < files.size(); ++i) {
-    if (!per[i].ok) {
-      findings.push_back(Finding{files[i], 0, "io-error", "cannot read file"});
-      continue;
-    }
-    builder.AddFile(files[i], per[i].lex);
-    program.AddFile(files[i], per[i].lex);
-    suppressions[files[i]] = per[i].lex.suppressions;
-    for (const Finding& f : per[i].raw) {
-      if (!IsSuppressed(f, per[i].lex.suppressions)) findings.push_back(f);
-    }
-  }
-
-  const IncludeGraph graph = builder.Build();
-  for (auto* check : {&CheckLayering, &CheckCycles}) {
-    for (Finding& f : (*check)(graph)) {
-      if (!IsSuppressed(f, suppressions[f.file])) {
-        findings.push_back(std::move(f));
-      }
-    }
-  }
-  for (Finding& f : ProgramFindings(program)) {
-    if (!IsSuppressed(f, suppressions[f.file])) {
+  RawTree tree = LintRaw(ReadSources(root, subdirs, &findings));
+  // Suppressions apply to tree-level findings too (e.g. a reasoned
+  // allow(layering) on an #include line).
+  for (Finding& f : tree.findings) {
+    if (!IsSuppressed(f, tree.suppressions[f.file])) {
       findings.push_back(std::move(f));
     }
   }
-  std::stable_sort(findings.begin(), findings.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.file != b.file ? a.file < b.file
-                                             : a.line < b.line;
-                   });
+  SortByFileLine(&findings);
   return findings;
 }
 
@@ -1005,30 +875,15 @@ std::string FindingsToSarif(const std::vector<Finding>& findings) {
 
 std::vector<Finding> AuditFiles(
     const std::vector<std::pair<std::string, std::string>>& files) {
-  // Raw findings (no suppression filtering) for every file plus the
-  // tree-level rules: a suppression is live iff some raw finding of its
-  // rule lands on its line or the next one.
-  IncludeGraphBuilder builder;
-  DataflowProgram program;
-  std::map<std::string, std::map<int, std::set<std::string>>> suppressions;
-  std::map<std::string, std::map<int, std::set<std::string>>> live;
-  auto note = [&](const Finding& f) { live[f.file][f.line].insert(f.rule); };
-
-  for (const auto& [path, content] : files) {
-    const LintedFile linted = LintOneFile(path, content);
-    builder.AddFile(path, linted.lex);
-    program.AddFile(path, linted.lex);
-    suppressions[path] = linted.lex.suppressions;
-    for (const Finding& f : linted.raw) note(f);
-  }
-  const IncludeGraph graph = builder.Build();
-  for (const Finding& f : CheckLayering(graph)) note(f);
-  for (const Finding& f : CheckCycles(graph)) note(f);
-  for (const Finding& f : ProgramFindings(program)) note(f);
+  // A suppression is live iff some raw (pre-suppression) finding of its
+  // rule, per-file or tree-level, lands on its line or the next one.
+  const RawTree tree = LintRaw(files);
+  std::map<std::string, SuppressionTable> live;
+  for (const Finding& f : tree.findings) live[f.file][f.line].insert(f.rule);
 
   const std::vector<std::string>& known = AllRules();
   std::vector<Finding> stale;
-  for (const auto& [path, table] : suppressions) {
+  for (const auto& [path, table] : tree.suppressions) {
     for (const auto& [line, rules] : table) {
       for (const std::string& rule : rules) {
         // A suppression of a rule that does not exist never suppressed
@@ -1056,35 +911,23 @@ std::vector<Finding> AuditFiles(
       }
     }
   }
-  std::stable_sort(stale.begin(), stale.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.file != b.file ? a.file < b.file
-                                             : a.line < b.line;
-                   });
+  SortByFileLine(&stale);
   return stale;
 }
 
 std::vector<Finding> AuditSuppressions(
     const std::string& root, const std::vector<std::string>& subdirs) {
-  std::vector<std::pair<std::string, std::string>> files;
-  for (const std::string& rel : ListSourceFiles(root, subdirs)) {
-    std::string content;
-    if (!ReadFileToString(root, rel, &content)) continue;
-    files.emplace_back(rel, std::move(content));
-  }
-  return AuditFiles(files);
+  return AuditFiles(ReadSources(root, subdirs, nullptr));
 }
 
 AnnotationAudit AuditAnnotations(const std::string& root,
                                  const std::vector<std::string>& subdirs) {
   DataflowProgram program;
-  std::map<std::string, std::map<int, std::set<std::string>>> suppressions;
-  for (const std::string& rel : ListSourceFiles(root, subdirs)) {
-    std::string content;
-    if (!ReadFileToString(root, rel, &content)) continue;
+  std::map<std::string, SuppressionTable> suppressions;
+  for (const auto& [rel, content] : ReadSources(root, subdirs, nullptr)) {
     LexResult lex = Lex(content);
     suppressions[rel] = lex.suppressions;
-    program.AddFile(rel, std::move(lex));
+    program.AddFile(rel, lex);
   }
   const AnnotationIndex index = BuildAnnotationIndex(program);
 
@@ -1100,11 +943,7 @@ AnnotationAudit AuditAnnotations(const std::string& root,
       audit.findings.push_back(std::move(f));
     }
   }
-  std::stable_sort(audit.findings.begin(), audit.findings.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.file != b.file ? a.file < b.file
-                                             : a.line < b.line;
-                   });
+  SortByFileLine(&audit.findings);
   return audit;
 }
 
